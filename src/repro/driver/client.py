@@ -136,7 +136,9 @@ class DistributedNvmeClient(BlockDevice):
         self._tenant = 0
         self._win_start = 0
         self._submitted = 0             # absolute, continues predecessor's
-        self._sq_space = Signal(sim)    # fired per completion (flow ctl)
+        #: fired per completion (flow ctl); throttle-parked submitters
+        #: wait on it gated by the clamp (docs/qos.md)
+        self._sq_space = Signal(sim, gate=self._throttle_closed)
         self._db_timer: Process | None = None
         #: recovery accounting
         self.timeouts = 0
@@ -145,7 +147,7 @@ class DistributedNvmeClient(BlockDevice):
         #: admission throttle (docs/qos.md): when set, outstanding
         #: commands are clamped to this many; None = unthrottled.
         self.qos_window: int | None = None
-        self.throttled_ios = 0
+        self._throttle_parks = 0
         #: ShareSan hook (docs/sanitizer.md); NULL object when off.
         self.sanitizer = NULL_SANITIZER
 
@@ -383,6 +385,18 @@ class DistributedNvmeClient(BlockDevice):
         # Release submitters parked on a full (shared) SQ window.
         self._sq_space.fire()
 
+    @property
+    def throttled_ios(self) -> int:
+        """Throttle parks: one per park, plus one per parked submitter
+        for each completion that finds the window still full."""
+        return self._throttle_parks + self._sq_space.reparks
+
+    def _throttle_closed(self) -> bool:
+        """True while the admission throttle holds submitters back."""
+        window = self.qos_window
+        return (self._running and window is not None
+                and len(self._inflight) >= window)
+
     def set_qos_window(self, window: int | None) -> None:
         """Clamp (or, with None, unclamp) outstanding commands
         (docs/qos.md).  Called by :class:`~repro.qos.AdmissionThrottle`
@@ -517,15 +531,14 @@ class DistributedNvmeClient(BlockDevice):
                                       if self.crashed
                                       else STATUS_HOST_SHUTDOWN)
                 break
-            qos_window = self.qos_window
-            if (qos_window is not None
-                    and len(self._inflight) >= qos_window):
+            if self._throttle_closed():
                 # Admission throttle active (docs/qos.md): hold the
                 # request until a completion shrinks the outstanding
                 # set below the clamped window (the signal also fires
-                # on shutdown/crash and when the clamp is lifted).
-                self.throttled_ios += 1
-                yield self._sq_space.wait()
+                # on shutdown/crash and when the clamp is lifted).  The
+                # gated wait resumes us only once the clamp lets us in.
+                self._throttle_parks += 1
+                yield self._sq_space.wait_gated()
                 continue
             if self.sq.is_full():
                 if rel.command_timeout_ns <= 0:

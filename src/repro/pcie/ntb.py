@@ -14,6 +14,7 @@ accounted per crossing by the fabric.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right, insort
 
 from ..memory import RangeAllocator
 from ..sanitizer.hooks import NULL_SANITIZER
@@ -61,6 +62,7 @@ class NtbFunction(PCIeFunction):
         super().__init__(sim, name)
         self.add_bar(self.BAR_INDEX, aperture)
         self._windows: dict[int, NtbWindow] = {}  # keyed by bar_offset
+        self._offsets: list[int] = []   # sorted keys of _windows
         self._lut_alloc: RangeAllocator | None = None
         self.aperture = aperture
         #: cable state; toggled by fault injection (``link:<host>``)
@@ -91,6 +93,7 @@ class NtbFunction(PCIeFunction):
         offset = self._lut_alloc.alloc(size, alignment=0x1000)
         self._windows[offset] = NtbWindow(offset, size, remote_host,
                                           remote_base, label)
+        insort(self._offsets, offset)
         self.lut_version += 1
         bar = self.bars[self.BAR_INDEX]
         assert bar.base is not None
@@ -103,6 +106,7 @@ class NtbFunction(PCIeFunction):
         if offset not in self._windows:
             raise NtbError(f"{self.name}: no window at {local_addr:#x}")
         del self._windows[offset]
+        self._offsets.remove(offset)
         self._lut_alloc.free(offset)
         self.lut_version += 1
 
@@ -141,10 +145,11 @@ class NtbFunction(PCIeFunction):
                 window.remote_base + (offset - window.bar_offset))
 
     def _find_window(self, offset: int, length: int) -> NtbWindow | None:
-        # Windows are page-aligned and sparse; linear scan over the dict
-        # is fine at realistic window counts (tens), but keep a sorted
-        # fallback simple: direct containment test per window.
-        for window in self._windows.values():
+        # Windows never overlap, so the only one that can hold a
+        # non-empty access is the last one starting at or below it.
+        i = bisect_right(self._offsets, offset) - 1
+        if i >= 0:
+            window = self._windows[self._offsets[i]]
             if window.contains(offset, length):
                 return window
         return None

@@ -28,10 +28,15 @@ _PENDING = object()
 
 #: Priority for ordinary events.  (Lives here rather than in ``core`` so
 #: the process machinery can import it without a circular import.)
-NORMAL = 1
+NORMAL = 2
 #: Priority for "urgent" bookkeeping events processed before normal ones
 #: scheduled at the same instant (used by the process machinery).
 URGENT = 0
+#: Priority of a :class:`~repro.sim.resources.Signal` hand-off step:
+#: after every same-instant ``URGENT`` event, before every same-instant
+#: ``NORMAL`` one — the slot the next event of a broadcast fire would
+#: have run in (see docs/performance.md).
+HANDOFF = 1
 
 
 def _as_int_delay(delay: t.Any) -> int:

@@ -11,7 +11,8 @@
     Broadcast edge: ``wait()`` returns an event triggered by the next
     ``fire()``.  Used to model "something changed, re-check your state"
     wakeups such as doorbell writes and CQ-memory watchpoints without
-    busy-poll event storms.
+    busy-poll event storms.  Waiters whose re-check is a shared gate
+    (``wait_gated()``) are admitted by FIFO hand-off instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import typing as t
 from collections import deque
 from heapq import heappush
 
-from .events import NORMAL, Event, _PENDING
+from .events import HANDOFF, NORMAL, Event, _PENDING
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -182,6 +183,12 @@ class Store:
         return self._items.popleft() if self._items else None
 
 
+class GatedWait(Event):
+    """The event of a :meth:`Signal.wait_gated` wait."""
+
+    __slots__ = ()
+
+
 class Signal:
     """Broadcast wakeup edge.
 
@@ -192,20 +199,122 @@ class Signal:
         while not condition():
             ev = signal.wait()
             yield ev
+
+    **Gated waits.**  A signal built with a ``gate`` (a predicate, True
+    while gated waiters must stay parked) also offers ``wait_gated()``
+    for waiters whose whole re-check is "park again if ``gate()``".
+    Once a gated wait is outstanding, ``fire()`` hands off instead of
+    broadcasting: it walks the outstanding waits in FIFO order, one
+    waiter per event slot, and a gated waiter whose gate is still
+    closed stays parked without being resumed.  Nothing runs between
+    such re-parks in a broadcast, so one ``gate()`` call settles a whole
+    run of them.  ``reparks`` counts one per skipped re-park — the
+    client's ``repro_client_throttled_total`` is one per throttle park
+    plus this count, i.e. one more per parked submitter for each
+    completion that finds its window still full (docs/qos.md).
+
+    The hand-off reproduces the broadcast's schedule exactly: the first
+    waiter runs in the slot the broadcast's first woken event ran in,
+    and each further waiter from an event at ``HANDOFF`` priority —
+    after every same-instant ``URGENT`` event, before every
+    same-instant ``NORMAL`` one, which is where broadcast event k+1 ran
+    (docs/performance.md).  A signal with no gated waits outstanding
+    keeps the plain broadcast loop.
     """
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(self, sim: "Simulator",
+                 gate: t.Callable[[], bool] | None = None) -> None:
         self.sim = sim
+        self.gate = gate
         self._waiters: list[Event] = []
+        self._gated = 0          # GatedWait entries in _waiters
         self.fires = 0
+        self.reparks = 0
 
     def wait(self) -> Event:
         ev = Event(self.sim)
         self._waiters.append(ev)
         return ev
 
+    def wait_gated(self) -> Event:
+        """Like :meth:`wait`, but fires leave the waiter parked while
+        ``gate()`` is True (see the class docstring).  Yield the event
+        directly and do not abandon it (no ``any_of``, no interrupt):
+        a parked wait stays queued, and counted, until the gate opens."""
+        if self.gate is None:
+            raise RuntimeError("wait_gated() needs a Signal built with a gate")
+        ev = GatedWait(self.sim)
+        self._waiters.append(ev)
+        self._gated += 1
+        return ev
+
     def fire(self, value: t.Any = None) -> None:
         self.fires += 1
         waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
+        if not self._gated:
+            for ev in waiters:
+                ev.succeed(value)
+            return
+        plain = len(waiters) - self._gated
+        self._gated = 0
+        _HandOff(self, waiters, plain, value).schedule(NORMAL)
+
+
+class _HandOff:
+    """One fire's walk over the waits outstanding at that fire."""
+
+    __slots__ = ("signal", "waiters", "plain", "value", "pos")
+
+    def __init__(self, signal: Signal, waiters: list[Event], plain: int,
+                 value: t.Any) -> None:
+        self.signal = signal
+        self.waiters = waiters
+        self.plain = plain       # plain waits not yet walked
+        self.value = value
+        self.pos = 0
+
+    def schedule(self, priority: int) -> None:
+        ev = Event(self.signal.sim)
+        ev._value = None
+        ev.callbacks.append(self.step)
+        self.signal.sim._push(ev, 0, priority)
+
+    def step(self, _event: Event) -> None:
+        """Resume the next waiter that gets in; re-park the gated ones
+        passed over on the way."""
+        sig = self.signal
+        waiters = self.waiters
+        n = len(waiters)
+        i = self.pos
+        closed = None
+        while i < n:
+            ev = waiters[i]
+            if type(ev) is GatedWait:
+                if closed is None:
+                    closed = sig.gate()
+                if closed:
+                    if not self.plain:
+                        # Only gated waits left, all parked by the same
+                        # closed gate.
+                        sig._waiters += waiters[i:]
+                        sig._gated += n - i
+                        sig.reparks += n - i
+                        return
+                    sig._waiters.append(ev)
+                    sig._gated += 1
+                    sig.reparks += 1
+                    i += 1
+                    continue
+            else:
+                self.plain -= 1
+            i += 1
+            # Process the waiter's event in this slot.
+            ev._value = self.value
+            callbacks, ev.callbacks = ev.callbacks, None
+            ev._processed = True
+            for callback in callbacks:
+                callback(ev)
+            if i < n:
+                self.pos = i
+                self.schedule(HANDOFF)
+            return

@@ -149,3 +149,44 @@ class TestWireCostProperties:
         w = write_cost(size, cfg)
         assert (w.packets - 1) * cfg.max_payload_size < size
         assert size <= w.packets * cfg.max_payload_size
+
+
+class TestNtbWindowLookup:
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("map"), st.integers(1, 16)),      # pages
+        st.tuples(st.just("unmap"), st.integers(0, 1000)),  # which window
+    ), min_size=1, max_size=30),
+        st.lists(st.tuples(st.integers(0, 96 * 4096),       # BAR offset
+                           st.integers(1, 3 * 4096)),       # length
+                 max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_bisect_lookup_matches_linear_scan(self, ops, queries):
+        sim, cluster, fabric, a, b, ntb_a, ntb_b = build_pair(21)
+        region = b.alloc_dma(64 * 4096)
+        bar_base = ntb_a.bars[ntb_a.BAR_INDEX].base
+        mapped = []
+
+        def linear(offset, length):
+            for window in ntb_a._windows.values():
+                if window.contains(offset, length):
+                    return window
+            return None
+
+        for op, arg in ops:
+            if op == "map":
+                mapped.append(ntb_a.map_window(b, region, arg * 4096))
+            elif mapped:
+                ntb_a.unmap_window(mapped.pop(arg % len(mapped)))
+            probes = list(queries)
+            for window in ntb_a._windows.values():
+                end = window.bar_offset + window.size
+                probes += [(window.bar_offset, 1), (end - 1, 1), (end, 1),
+                           (max(window.bar_offset - 1, 0), 2),
+                           (window.bar_offset, window.size),
+                           (window.bar_offset, window.size + 1)]
+            for offset, length in probes:
+                assert ntb_a._find_window(offset, length) is \
+                    linear(offset, length)
+            assert ntb_a._offsets == sorted(ntb_a._windows)
+        assert sorted(bar_base + off for off in ntb_a._windows) == \
+            sorted(mapped)

@@ -16,9 +16,15 @@ Runs are module-scoped fixtures: four scenario runs shared by all the
 assertions below.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from repro.qos import run_qos
+from repro.qos import AdmissionThrottle, run_qos
+from repro.scenarios import noisy_neighbor
+from repro.telemetry.slo import SloSpec
+from repro.workloads import OpenLoopJob, open_loop_generator
 
 #: shorter than the ``repro qos`` default — the gates already hold here
 #: and tier-1 time matters
@@ -138,3 +144,76 @@ class TestShareSanReplay:
         run_open_loop_many(list(zip(sc.clients, jobs)))
         assert sc.sanitizer is not None
         assert sc.sanitizer.findings == []
+
+
+def _clamp_and_lift_run():
+    """wfq + throttle (window 4) against a bursty aggressor, under an SLO
+    with short burn windows: the clamp goes on during a burst and is
+    lifted during a later one, with dozens of submitters parked on the
+    clamp — so the lift admits many of them at one instant."""
+    sc = noisy_neighbor(n_bystanders=2, policy="wfq", throttle_window=4,
+                        seed=3)
+    sim, tele = sc.sim, sc.telemetry
+    tele.enable_histograms()
+    sampler = tele.enable_sampler(interval_ns=100_000, start=False)
+    slo = tele.enable_slo(SloSpec(name="latency", objective_ns=50_000,
+                                  target=0.9, fast_window_ns=100_000,
+                                  slow_window_ns=200_000,
+                                  burn_threshold=2.0))
+    throttle = AdmissionThrottle(sim, sc.testbed.config.qos, slo)
+    throttle.attach(sc.clients)
+    aggressor = sc.clients[0]
+    parked_at_lift = []
+    set_window = aggressor.set_qos_window
+
+    def spy(window):
+        if window is None:
+            parked_at_lift.append(len(aggressor._sq_space._waiters))
+        set_window(window)
+
+    aggressor.set_qos_window = spy
+    sampler.start()
+    throttle.start()
+    horizon = 3_000_000
+    jobs = [OpenLoopJob(name="aggressor", rw="randread",
+                        rate_iops=400_000.0, arrival="bursty",
+                        burst_duty=0.5, burst_period_ns=1_100_000,
+                        total_arrivals=None, runtime_ns=horizon,
+                        inflight_cap=aggressor.queue_depth,
+                        seed_stream="qos")]
+    jobs += [OpenLoopJob(name=f"bystander{i}", rw="randrw", rwmixread=70,
+                         rate_iops=50_000.0, arrival="poisson",
+                         total_arrivals=None, runtime_ns=horizon,
+                         inflight_cap=16, seed_stream="qos")
+             for i in range(1, len(sc.clients))]
+    procs = [sim.process(open_loop_generator(client, job))
+             for client, job in zip(sc.clients, jobs)]
+    sim.run(until=sim.all_of(procs))
+    sampler.stop()
+    throttle.stop()
+    return sc, throttle, [p.value for p in procs], parked_at_lift
+
+
+class TestThrottleLiftPinned:
+    """Pins the admission throttle's park/admit schedule, including the
+    lift that releases many parked submitters at one instant: any change
+    to who gets admitted when moves a latency or the park count."""
+
+    #: SHA-256 over every tenant's latencies and ``throttled_ios``
+    DIGEST = ("21aefa22cfaa4e2b1451c03f510af999"
+              "68e30f00f2e7362f00a6f69dc1bf8065")
+
+    def test_clamp_lift_outputs_pinned(self):
+        sc, throttle, results, parked_at_lift = _clamp_and_lift_run()
+        report = throttle.report()
+        assert report["throttles_applied"] >= 1
+        assert report["throttles_released"] >= 1
+        assert max(parked_at_lift) >= 2
+        digest = hashlib.sha256()
+        for client, result in zip(sc.clients, results):
+            assert result.completed == result.issued
+            digest.update(client.tenant.encode())
+            digest.update(np.asarray(result.latencies.values(),
+                                     dtype=np.int64).tobytes())
+            digest.update(client.throttled_ios.to_bytes(8, "little"))
+        assert digest.hexdigest() == self.DIGEST
