@@ -24,6 +24,10 @@ Usage::
         --check BENCH_sim_speed.json --tolerance 0.30    # regression gate
     python benchmarks/bench_sim_speed.py --record after \
         --json BENCH_sim_speed.json                      # update trajectory
+
+``--check`` fails when a scenario's ``events`` differs from the recorded
+row at all (the count is deterministic per code and seed), or when its
+wall-clock or events/s regress beyond ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -229,6 +233,14 @@ def check_regression(current: dict, baseline_path: pathlib.Path,
         if base is None:
             print(f"{name}: no baseline for mode {mode!r}; skipping")
             continue
+        # The event count is a deterministic function of the code and
+        # the seed, so it is gated exactly: a change that moves it must
+        # re-record the baseline and say why.
+        if sample["events"] != base["events"]:
+            print(f"{name:24s} events {base['events']} -> "
+                  f"{sample['events']} "
+                  f"({sample['events'] - base['events']:+d})  CHANGED")
+            failures.append(f"{name} (events)")
         ratio = sample["wall_s"] / base["wall_s"]
         verdict = "OK" if ratio <= 1.0 + tolerance else "REGRESSION"
         print(f"{name:24s} {base['wall_s']:8.3f}s -> "
@@ -247,10 +259,11 @@ def check_regression(current: dict, baseline_path: pathlib.Path,
                       f"({eps_ratio:5.2f}x)  THROUGHPUT REGRESSION")
                 failures.append(f"{name} (events/s)")
     if failures:
-        print(f"FAIL: regression beyond {tolerance:.0%} "
-              f"in: {', '.join(failures)}")
+        print(f"FAIL: event count changed or regression beyond "
+              f"{tolerance:.0%} in: {', '.join(failures)}")
         return 1
-    print(f"all scenarios within {tolerance:.0%} of baseline")
+    print(f"all scenarios at the baseline's event counts and within "
+          f"{tolerance:.0%} of its wall-clock")
     return 0
 
 

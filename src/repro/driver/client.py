@@ -33,8 +33,8 @@ from ..nvme import (CompletionEntry, CompletionQueueState, IoOpcode,
                     cq_doorbell_offset, sq_doorbell_offset)
 from ..pcie.fabric import FabricFaultError
 from ..sanitizer.hooks import NULL_SANITIZER
-from ..sim import (NULL_TRACER, Event, Interrupt, Process, Signal,
-                   Simulator, Store)
+from ..sim import (NULL_TRACER, DeadlineQueue, Event, Interrupt, Process,
+                   Signal, Simulator, Store)
 from ..sisci import RemoteSegment, SisciNode
 from ..smartio import Placement, SmartIoService
 from ..units import serialize_ns
@@ -140,6 +140,9 @@ class DistributedNvmeClient(BlockDevice):
         #: wait on it gated by the clamp (docs/qos.md)
         self._sq_space = Signal(sim, gate=self._throttle_closed)
         self._db_timer: Process | None = None
+        #: per-command timeouts (FIFO: issue time + a constant)
+        self._deadlines = DeadlineQueue(
+            sim, config.reliability.command_timeout_ns)
         #: recovery accounting
         self.timeouts = 0
         self.retries = 0
@@ -560,7 +563,7 @@ class DistributedNvmeClient(BlockDevice):
                         # it; give in-flight I/Os one timeout period
                         # to free a slot before calling it a clog.
                         space = self._sq_space.wait()
-                        expiry = self.sim.timeout(rel.command_timeout_ns)
+                        expiry = self._deadlines.arm()
                         outcome = yield self.sim.any_of((space, expiry))
                         if space in outcome:
                             continue
@@ -591,7 +594,7 @@ class DistributedNvmeClient(BlockDevice):
                 # Recovery disabled (the default): wait unconditionally.
                 cqe = yield done
                 break
-            expiry = self.sim.timeout(rel.command_timeout_ns)
+            expiry = self._deadlines.arm()
             outcome = yield self.sim.any_of((done, expiry))
             if done in outcome:
                 cqe = outcome[done]

@@ -6,9 +6,13 @@ DRAM, a device BAR, or across NTB windows into another host — charging:
 * per-switch-chip forwarding latency (100-150 ns/chip/direction,
   paper Sec. VI) and root-complex traversals;
 * NTB LUT translation per window crossing;
-* link occupancy: every link on the path is held for the transaction's
-  serialization time (cut-through pipe), giving natural FIFO queueing
-  under contention;
+* link occupancy: every link direction on the path is a capacity-1
+  FIFO :class:`~repro.sim.resources.Pipe` held for the transaction's
+  serialization time on that link (cut-through), giving natural FIFO
+  queueing under contention.  A pipe stores the heap key at which its
+  hold ends; free pipes are taken inline, and a release event reaches
+  the heap only when another transaction waits for the link
+  (docs/performance.md, "Deferred link release");
 * target service time (DRAM access or device MMIO handling).
 
 **Posted vs non-posted** (the crux of the paper's Fig. 8 argument):
@@ -44,8 +48,9 @@ import typing as t
 
 from ..config import PcieConfig
 from ..memory import HostMemory
-from ..sim import NULL_TRACER, Event, Process, Request, Simulator
+from ..sim import NULL_TRACER, Event, Process, Simulator
 from ..sim.events import NORMAL, URGENT
+from ..sim.resources import HELD, hold
 from ..units import serialize_ns
 from .address import AddressError
 from .device import Bar
@@ -68,33 +73,6 @@ class _Ticket:
 
 
 _TICKET = _Ticket()
-
-
-def _release_group(resources, acquired, idxs) -> None:
-    # hot-path: one callback releases every link whose hold expired now.
-    for i in idxs:
-        resources[i].release(acquired[i])
-
-
-def _grant_inline(resource) -> Request:
-    """Acquire a free resource without a heap push.
-
-    Equivalent to ``request()`` when the grant is immediate, minus the
-    zero-delay grant event nothing would wait on — ``release()`` works
-    unchanged via the holders set.  Callers must have checked that the
-    resource has capacity and no waiters.
-    """
-    # hot-path
-    req = Request.__new__(Request)
-    req.sim = resource.sim
-    req.callbacks = []
-    req._value = req
-    req._ok = True
-    req._processed = True
-    req._defused = False
-    req.resource = resource
-    resource._holders.add(req)
-    return req
 
 
 class FabricFaultError(Exception):
@@ -162,7 +140,7 @@ class Fabric:
         # (host, addr, length) -> _RouteEntry; None when disabled.
         self._route_cache: dict[tuple, _RouteEntry] | None = (
             None if os.environ.get("REPRO_NO_ROUTE_CACHE") == "1" else {})
-        # (path, wire_bytes) -> (resources, holds, max_hold) | ()
+        # (path, wire_bytes) -> (pipes, max_hold, groups) | ()
         self._occupy_plans: dict[tuple, tuple] = {}
         #: shard boundary (repro.sim.shard.ShardBoundary) or None; when
         #: installed, transactions whose target lies in a different
@@ -285,49 +263,52 @@ class Fabric:
             self._occupy_plans[(path, wire_bytes)] = plan
         if not plan:
             return
-        resources, _holds, max_hold, groups = plan
+        pipes, max_hold, groups = plan
         sim = self.sim
-        acquired = []
-        append = acquired.append
-        for resource in resources:
-            # Uncontended grants skip the queue entirely — no zero-delay
-            # grant event, no suspension (the dominant case by far).
-            if len(resource._holders) < resource.capacity \
-                    and not resource._waiting:
-                append(_grant_inline(resource))
+        cur = sim._cur
+        waited = False
+        for pipe in pipes:
+            # Free pipes are taken inline — no grant event, no
+            # suspension (the dominant case by far).
+            if pipe.busy < cur:
+                pipe.busy = HELD
             else:
-                req = resource.request()
-                append(req)
-                yield req
-        sleep = sim.sleep
-        for hold, idxs in groups:
-            # One release timer per distinct hold time: links with equal
-            # serialization time share a single event.
-            sleep(hold).callbacks.append(
-                lambda _ev, a=acquired, r=resources, ix=idxs:
-                    _release_group(r, a, ix))
-        yield sleep(max_hold)
+                yield pipe.wait()
+                waited = True
+                cur = sim._cur
+        if waited:
+            # Others may have queued on pipes taken before the wait.
+            for ns, group in groups:
+                hold(sim, group, ns)
+        else:
+            # One release key per distinct hold time: links with equal
+            # serialization time share it.
+            now = sim._now
+            seq = sim._sequence
+            for ns, group in groups:
+                key = (now + ns, NORMAL, next(seq), group)
+                for pipe in group:
+                    pipe.busy = key
+        yield sim.sleep(max_hold)
 
     def _build_occupy_plan(self, path: tuple[Node, ...],
                            wire_bytes: int) -> tuple:
         """Precompute the occupancy of a (path, size) pair: the link
-        resources in canonical acquisition order with their per-link
-        hold times (grouped by hold so equal holds share one release
-        timer).  Pure function of the (static) topology."""
+        pipes in canonical acquisition order, the longest hold, and the
+        pipes grouped by hold time (equal holds share one release key).
+        Pure function of the (static) topology."""
         trips = self.cluster.links_on(path)
         if not trips or wire_bytes <= 0:
             return ()
-        pairs = [(link.resource(a, b), link) for link, a, b in trips]
+        pairs = [(link.pipe(a, b), serialize_ns(wire_bytes, link.bandwidth))
+                 for link, a, b in trips]
         pairs.sort(key=lambda p: p[0].order)
-        resources = tuple(resource for resource, _link in pairs)
-        holds = tuple(serialize_ns(wire_bytes, link.bandwidth)
-                      for _resource, link in pairs)
-        by_hold: dict[int, list[int]] = {}
-        for i, hold in enumerate(holds):
-            by_hold.setdefault(hold, []).append(i)
-        groups = tuple((hold, tuple(idxs))
-                       for hold, idxs in sorted(by_hold.items()))
-        return (resources, holds, max(holds), groups)
+        by_hold: dict[int, list] = {}
+        for pipe, ns in pairs:
+            by_hold.setdefault(ns, []).append(pipe)
+        groups = tuple((ns, tuple(group))
+                       for ns, group in sorted(by_hold.items()))
+        return (tuple(pipe for pipe, _ns in pairs), groups[-1][0], groups)
 
     # -- transactions ------------------------------------------------------------
 
@@ -518,7 +499,7 @@ class Fabric:
         """
         # hot-path: when every source-side link is free, the whole issue
         # runs inline — no process spawn, no occupancy generator, no
-        # per-link grant events.  Contended issues fall back to the
+        # heap entry for the link holds.  Contended issues fall back to the
         # generator body *after* the side-effecting steps (resolve,
         # fault draws, accounting) have run exactly once.
         if type(data) is not bytes:
@@ -531,17 +512,9 @@ class Fabric:
         if dst_dom is not None:
             cut = self._cut_of(path, dst_dom)
             pre_pairs, _suf, fill = self._cross_plan(path, wire, cut)
-            for resource, _hold in pre_pairs:
-                if len(resource._holders) >= resource.capacity \
-                        or resource._waiting:
-                    return Process(sim, self._cross_write_tail(
-                        initiator, host, res, path, dst_dom, addr, data,
-                        wire))
-            sleep = sim.sleep
-            for resource, hold in pre_pairs:
-                req = _grant_inline(resource)
-                sleep(hold).callbacks.append(
-                    lambda _ev, r=resource, q=req: r.release(q))
+            if not self._hold_if_free(pre_pairs):
+                return Process(sim, self._cross_write_tail(
+                    initiator, host, res, path, dst_dom, addr, data, wire))
             arrival = self._cross_arrival(initiator, host, res, path, cut,
                                           sim._now + fill)
             return (self._send(dst_dom, arrival,
@@ -554,19 +527,18 @@ class Fabric:
             self._occupy_plans[(path, wire)] = plan
         fill = 0
         if plan:
-            resources, _holds, fill, groups = plan
-            for resource in resources:
-                if len(resource._holders) >= resource.capacity \
-                        or resource._waiting:
+            pipes, fill, groups = plan
+            cur = sim._cur
+            for pipe in pipes:
+                if not pipe.busy < cur:
                     return Process(sim, self._write_tail(
                         initiator, host, res, path, addr, data, wire))
-            # staticcheck: ignore[hotpath-alloc] per-call grant list, no reuse possible
-            acquired = [_grant_inline(resource) for resource in resources]
-            sleep = sim.sleep
-            for hold, idxs in groups:
-                sleep(hold).callbacks.append(
-                    lambda _ev, a=acquired, r=resources, ix=idxs:
-                        _release_group(r, a, ix))
+            now = sim._now
+            seq = sim._sequence
+            for ns, group in groups:
+                end = (now + ns, NORMAL, next(seq), group)
+                for pipe in group:
+                    pipe.busy = end
         cfg = self.config
         latency = fill + self.cluster.hop_latency(path)
         if res.crossings:
@@ -807,24 +779,17 @@ class Fabric:
         dst_dom = self.boundary.node_domain[node_name]
         cut = self._cut_of(path, dst_dom)
         _pre, suf_pairs, _fill = self._cross_plan(path, wire, cut)
-        sim = self.sim
-        for resource, _hold in suf_pairs:
-            if len(resource._holders) >= resource.capacity \
-                    or resource._waiting:
-                prev = sim._domain
-                sim._domain = dst_dom
-                try:
-                    Process(sim, self._deliver_write_slow(
-                        suf_pairs, res_kind, host_name, final, data,
-                        crossings, addr))
-                finally:
-                    sim._domain = prev
-                return
-        sleep = sim.sleep
-        for resource, hold in suf_pairs:
-            req = _grant_inline(resource)
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=req: r.release(q))
+        if not self._hold_if_free(suf_pairs):
+            sim = self.sim
+            prev = sim._domain
+            sim._domain = dst_dom
+            try:
+                Process(sim, self._deliver_write_slow(
+                    suf_pairs, res_kind, host_name, final, data,
+                    crossings, addr))
+            finally:
+                sim._domain = prev
+            return
         self._finish_cross_write(res_kind, host_name, final, data,
                                  crossings, addr, dst_dom)
 
@@ -877,23 +842,15 @@ class Fabric:
             cwire = completion_cost(length, self.config).bytes_on_wire
             self._cpl_wire[length] = cwire
         _pre, csuf_pairs, _fill = self._cross_plan(rpath, cwire, rcut)
-        sim = self.sim
-        for resource, _hold in csuf_pairs:
-            if len(resource._holders) >= resource.capacity \
-                    or resource._waiting:
-                prev = sim._domain
-                sim._domain = src_dom
-                try:
-                    Process(sim, self._read_cpl_slow(csuf_pairs, req_id,
-                                                     data))
-                finally:
-                    sim._domain = prev
-                return
-        sleep = sim.sleep
-        for resource, hold in csuf_pairs:
-            req = _grant_inline(resource)
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=req: r.release(q))
+        if not self._hold_if_free(csuf_pairs):
+            sim = self.sim
+            prev = sim._domain
+            sim._domain = src_dom
+            try:
+                Process(sim, self._read_cpl_slow(csuf_pairs, req_id, data))
+            finally:
+                sim._domain = prev
+            return
         self._finish_read(req_id, data)
 
     def _read_cpl_slow(self, csuf_pairs: tuple, req_id: int, data: bytes):
@@ -910,40 +867,33 @@ class Fabric:
         """Occupy one side of a cut path, charging the full path's
         pipe-fill time (the initiating side always pays the fill; the
         receiving side's links are occupied retroactively on arrival)."""
-        acquired = []
-        append = acquired.append
-        for resource, _hold in pairs:
-            if len(resource._holders) < resource.capacity \
-                    and not resource._waiting:
-                append(_grant_inline(resource))
-            else:
-                req = resource.request()
-                append(req)
-                yield req
-        sleep = self.sim.sleep
-        for i, (resource, hold) in enumerate(pairs):
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=acquired[i]: r.release(q))
-        yield sleep(fill)
+        yield from self._occupy_tail(pairs)
+        yield self.sim.sleep(fill)
 
     def _occupy_tail(self, pairs: tuple):
         """Occupy the receiving side's links on message arrival.  No
         fill charge — the nominal arrival instant already includes the
-        full-path latency; only contention can add delay here."""
-        acquired = []
-        append = acquired.append
-        for resource, _hold in pairs:
-            if len(resource._holders) < resource.capacity \
-                    and not resource._waiting:
-                append(_grant_inline(resource))
+        full-path latency; only contention can add delay here.  Each
+        pipe is held for its own time under its own release key."""
+        for pipe, _ns in pairs:
+            if pipe.free():
+                pipe.busy = HELD
             else:
-                req = resource.request()
-                append(req)
-                yield req
-        sleep = self.sim.sleep
-        for i, (resource, hold) in enumerate(pairs):
-            sleep(hold).callbacks.append(
-                lambda _ev, r=resource, q=acquired[i]: r.release(q))
+                yield pipe.wait()
+        sim = self.sim
+        for pipe, ns in pairs:
+            hold(sim, (pipe,), ns)
+
+    def _hold_if_free(self, pairs: tuple) -> bool:
+        """Hold every pipe of ``pairs`` for its own time if all are free
+        now (inline, no event); False, holding nothing, otherwise."""
+        for pipe, _ns in pairs:
+            if not pipe.free():
+                return False
+        sim = self.sim
+        for pipe, ns in pairs:
+            hold(sim, (pipe,), ns)
+        return True
 
     def _cut_of(self, path: tuple, dst_dom: str) -> int:
         """Index of the first node on the path inside the destination
@@ -967,7 +917,7 @@ class Fabric:
     def _cross_plan(self, path: tuple, wire: int, cut: int) -> tuple:
         """Split occupancy plan of a cut path: ``(source-side pairs,
         destination-side pairs, fill)`` where each pair is
-        ``(resource, hold_ns)`` in canonical acquisition order within
+        ``(pipe, hold_ns)`` in canonical acquisition order within
         its side.  Link i feeds ``path[i+1]``, so it belongs to the
         destination side iff ``i >= cut - 1``."""
         key = (path, wire, cut)
@@ -981,10 +931,10 @@ class Fabric:
                 suf = []
                 fill = 0
                 for i, (link, a, b) in enumerate(trips):
-                    hold = serialize_ns(wire, link.bandwidth)
-                    if hold > fill:
-                        fill = hold
-                    pair = (link.resource(a, b), hold)
+                    ns = serialize_ns(wire, link.bandwidth)
+                    if ns > fill:
+                        fill = ns
+                    pair = (link.pipe(a, b), ns)
                     if i < cut - 1:
                         pre.append(pair)
                     else:

@@ -21,7 +21,7 @@ import typing as t
 
 from ..config import PcieConfig
 from ..memory import HostMemory, RangeAllocator
-from ..sim import Resource, Simulator
+from ..sim import Pipe, Simulator
 from .address import AddressMap
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -78,12 +78,13 @@ class Node:
 class Link:
     """A full-duplex point-to-point link between two nodes.
 
-    Each direction is an independent FIFO resource; holding it for the
-    payload's serialization time models cut-through occupancy and gives
-    natural queueing under contention.
+    Each direction is an independent capacity-1 FIFO
+    :class:`~repro.sim.resources.Pipe`; holding it for the payload's
+    serialization time models cut-through occupancy and gives natural
+    queueing under contention.
     """
 
-    __slots__ = ("a", "b", "bandwidth", "name", "_res")
+    __slots__ = ("a", "b", "bandwidth", "name", "_pipes")
 
     def __init__(self, sim: Simulator, a: Node, b: Node,
                  bandwidth: float, name: str = "") -> None:
@@ -93,11 +94,11 @@ class Link:
         self.b = b
         self.bandwidth = bandwidth
         self.name = name or f"{a.name}<->{b.name}"
-        self._res = {(a, b): Resource(sim, 1), (b, a): Resource(sim, 1)}
+        self._pipes = {(a, b): Pipe(sim), (b, a): Pipe(sim)}
 
-    def resource(self, src: Node, dst: Node) -> Resource:
+    def pipe(self, src: Node, dst: Node) -> Pipe:
         try:
-            return self._res[(src, dst)]
+            return self._pipes[(src, dst)]
         except KeyError:
             raise TopologyError(
                 f"link {self.name} does not join {src.name}->{dst.name}"

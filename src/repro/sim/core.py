@@ -12,6 +12,16 @@ this loop are a measurable fraction of total wall-clock.  None of the
 fast paths change *which* events run or in what order — every entry
 still receives a fresh sequence number from the same counter, so traces
 and telemetry exports stay bit-identical.
+
+Every loop keeps in ``_cur`` the largest heap entry dispatched so far
+(one compare per event, a store when it grows).  A key reserved with
+``next(sim._sequence)`` for a later instant but never pushed can then
+be ordered against "now" exactly as if it had been on the heap: it has
+been passed iff ``key < sim._cur``.  The largest entry, not the current
+one: an ``URGENT`` event pushed for the current instant after ``NORMAL``
+events of that instant already ran sorts below them, yet runs after
+them.  Link pipes (:class:`~repro.sim.resources.Pipe`) use this to keep
+their release instants off the heap until somebody waits for them.
 """
 
 from __future__ import annotations
@@ -67,6 +77,10 @@ class Simulator:
         self._queue: list[tuple[int, int, int, Event]] = []
         self._sequence = count()
         self._resource_sequence = count()
+        #: the largest heap entry dispatched so far, or a bound standing
+        #: in for one: below every key before the first run, just above
+        #: every NORMAL key of the final instant after one.
+        self._cur: tuple = (-1,)
         self._active_process: Process | None = None
         self.rng = RngRegistry(seed)
         #: free-form registry used by components to find each other
@@ -169,12 +183,18 @@ class Simulator:
     # -- execution ----------------------------------------------------------------
 
     def peek(self) -> int | None:
-        """Time of the next scheduled event, or None if the queue is empty."""
+        """Time of the next scheduled event, or None if the queue is empty.
+
+        Instants kept off the heap are not seen: link-pipe releases
+        nobody waits for and deadline-queue entries behind the head."""
         return self._queue[0][0] if self._queue else None
 
     def step(self) -> None:
         """Process exactly one event."""
-        when, _prio, _seq, event = heappop(self._queue)
+        entry = heappop(self._queue)
+        if entry > self._cur:
+            self._cur = entry
+        when, _prio, _seq, event = entry
         assert when >= self._now, "event queue ordering violated"
         self._now = when
         self.events_processed += 1
@@ -193,11 +213,15 @@ class Simulator:
         pop = heappop
         pool = self._timeout_pool
         pooled = PooledTimeout
+        front = self._cur
         dispatched = 0
         if until is None:
             try:
                 while queue:
-                    when, _prio, _seq, event = pop(queue)
+                    entry = pop(queue)
+                    if entry > front:
+                        self._cur = front = entry
+                    when, _prio, _seq, event = entry
                     self._now = when
                     dispatched += 1
                     callbacks = event.callbacks
@@ -212,6 +236,7 @@ class Simulator:
                         raise t.cast(BaseException, event._value)
             finally:
                 self.events_processed += dispatched
+            self._cur = (self._now, NORMAL + 1)
             return None
 
         if isinstance(until, Event):
@@ -224,7 +249,10 @@ class Simulator:
             stop.callbacks.append(done.append)
             try:
                 while queue and not done:
-                    when, _prio, _seq, event = pop(queue)
+                    entry = pop(queue)
+                    if entry > front:
+                        self._cur = front = entry
+                    when, _prio, _seq, event = entry
                     self._now = when
                     dispatched += 1
                     callbacks = event.callbacks
@@ -240,6 +268,7 @@ class Simulator:
             finally:
                 self.events_processed += dispatched
             if not done:
+                self._cur = (self._now, NORMAL + 1)
                 raise RuntimeError(
                     "simulation ran out of events before the target event fired")
             if not stop.ok:
@@ -253,7 +282,10 @@ class Simulator:
                 f"until={deadline} is in the past (now={self._now})")
         try:
             while queue and queue[0][0] <= deadline:
-                when, _prio, _seq, event = pop(queue)
+                entry = pop(queue)
+                if entry > front:
+                    self._cur = front = entry
+                when, _prio, _seq, event = entry
                 self._now = when
                 dispatched += 1
                 callbacks = event.callbacks
@@ -269,4 +301,5 @@ class Simulator:
         finally:
             self.events_processed += dispatched
         self._now = deadline
+        self._cur = (deadline, NORMAL + 1)
         return None

@@ -1,7 +1,16 @@
 """Synchronisation primitives built on events.
 
 ``Resource``
-    Counted FIFO resource (link occupancy, DMA engines, media channels).
+    Counted FIFO resource (DMA engines, media channels, admin locks).
+
+``Pipe``
+    Capacity-1 FIFO link direction that keeps the instant its current
+    hold ends instead of a release timer on the event queue.
+
+``DeadlineQueue``
+    Timeouts of one fixed delay, armed in FIFO order, of which only the
+    oldest still-needed one sits on the event queue (per-command
+    timeouts).
 
 ``Store``
     Unbounded FIFO of Python objects with blocking ``get`` (mailboxes,
@@ -21,7 +30,7 @@ import typing as t
 from collections import deque
 from heapq import heappush
 
-from .events import HANDOFF, NORMAL, Event, _PENDING
+from .events import HANDOFF, NORMAL, Condition, Event, _PENDING
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -131,6 +140,167 @@ class Resource:
         req = self.request()
         yield req
         return req
+
+
+#: ``Pipe.busy`` of a pipe never held: sorts below every dispatch key.
+IDLE: tuple = ()
+#: ``Pipe.busy`` while the holder is still acquiring its other pipes (its
+#: release key is not known yet): sorts above every dispatch key.
+HELD: tuple = (float("inf"),)
+
+
+class Pipe:
+    """One direction of a link: a capacity-1 FIFO held for a TLP's
+    serialization time.
+
+    Instead of a release timer per hold, a pipe stores in ``busy`` the
+    heap key ``(time, NORMAL, seq, group)`` at which its current hold
+    ends, with ``seq`` reserved from the simulator's sequence counter
+    when the hold starts — where ``sim.sleep(hold)`` used to take it.
+    The pipe is free iff ``busy < sim._cur``: the events dispatched so
+    far have passed the release key.  ``group`` is the tuple of
+    pipes sharing the key (links with equal serialization time in one
+    transaction); it never takes part in a comparison, because ``seq``
+    is unique to the key.
+
+    A release event is pushed only when some transaction has to wait:
+    the first waiter behind a known key pushes it at exactly that key
+    (one heap entry per group), and :func:`hold` pushes it at once if
+    waiters queued while the holder was still acquiring (``HELD``).
+    Releasing grants the next waiter as :meth:`Resource.release` does —
+    a fresh-sequence ``NORMAL`` event at the release instant — so the
+    schedule is the one a ``Resource`` plus per-group release timers
+    produces, minus the timers nobody waited for (docs/performance.md).
+
+    Usage from a process (``group`` a tuple of pipes; hot paths inline
+    :meth:`free` as ``pipe.busy < sim._cur``)::
+
+        for pipe in group:
+            if pipe.free():
+                pipe.busy = HELD
+            else:
+                yield pipe.wait()
+        hold(sim, group, ns)
+    """
+
+    __slots__ = ("sim", "order", "busy", "waiters")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+        #: deterministic creation index, shared with Resource.order
+        self.order = sim._next_resource_order()
+        self.busy: tuple = IDLE
+        self.waiters: deque[Event] = deque()
+
+    def free(self) -> bool:
+        """True when the pipe can be taken now."""
+        return self.busy < self.sim._cur
+
+    def wait(self) -> Event:
+        """Queue behind the holder of a pipe that is not free; the event
+        triggers when the pipe is granted (``busy`` is then ``HELD``)."""
+        busy = self.busy
+        if not self.waiters and busy is not HELD:
+            # First waiter behind a known hold end: put the release on
+            # the heap unless a waiter on another pipe of the group
+            # already did.
+            for pipe in busy[3]:
+                if pipe.waiters:
+                    break
+            else:
+                _push_release(self.sim, busy)
+        ev = Event(self.sim)
+        self.waiters.append(ev)
+        return ev
+
+
+def hold(sim: "Simulator", group: tuple, ns: int) -> None:
+    """Start the hold of ``group`` — pipes the caller has taken — for
+    ``ns`` from now, reserving the release key's sequence number."""
+    key = (sim._now + ns, NORMAL, next(sim._sequence), group)
+    for pipe in group:
+        pipe.busy = key
+    for pipe in group:
+        if pipe.waiters:
+            _push_release(sim, key)
+            return
+
+
+def _push_release(sim: "Simulator", key: tuple) -> None:
+    ev = Event(sim)
+    ev._value = None
+    ev.callbacks.append(lambda _ev: _release(sim, key[3]))
+    heappush(sim._queue, (key[0], key[1], key[2], ev))
+
+
+def _release(sim: "Simulator", group: tuple) -> None:
+    """Grant each waited-for pipe of a group whose hold ends now, in
+    group order."""
+    for pipe in group:
+        waiters = pipe.waiters
+        if waiters:
+            ev = waiters.popleft()
+            pipe.busy = HELD
+            ev._value = None
+            heappush(sim._queue,
+                     (sim._now, NORMAL, next(sim._sequence), ev))
+
+
+class DeadlineQueue:
+    """Timeouts of one fixed ``delay`` that keep only the oldest entry
+    still needed on the event queue.
+
+    Each :meth:`arm` returns an event that fires exactly where
+    ``sim.timeout(delay)`` created at that moment would: its key
+    ``(now + delay, NORMAL, seq)`` is reserved on the spot.  Deadlines
+    armed one after another are FIFO, so only the head of the queue is
+    pushed; when it fires, the entries behind it whose every waiter is
+    an already-triggered condition (an ``any_of`` the awaited event
+    won, for which firing is a no-op) are dropped, and the next one is
+    pushed at its reserved key.  The newest entry is never dropped, so
+    a drained ``run()`` ends at the same instant as with plain timeouts.
+    """
+
+    def __init__(self, sim: "Simulator", delay: int) -> None:
+        self.sim = sim
+        self.delay = delay
+        self._pending: deque[tuple[tuple, Event]] = deque()
+
+    def arm(self) -> Event:
+        """A timeout ``delay`` from now (compose it with ``any_of``)."""
+        sim = self.sim
+        ev = Event(sim)
+        ev._value = None
+        key = (sim._now + self.delay, NORMAL, next(sim._sequence))
+        pending = self._pending
+        pending.append((key, ev))
+        if len(pending) == 1:
+            self._push(key, ev)
+        return ev
+
+    def _push(self, key: tuple, ev: Event) -> None:
+        ev.callbacks.append(self._fired)
+        heappush(self.sim._queue, (key[0], key[1], key[2], ev))
+
+    def _fired(self, _ev: Event) -> None:
+        pending = self._pending
+        pending.popleft()
+        while len(pending) > 1 and _settled(pending[0][1]):
+            # Unlink the condition's check so the pair is freed now, not
+            # by the cycle collector (a fired event would drop it too).
+            pending.popleft()[1].callbacks.clear()
+        if pending:
+            self._push(*pending[0])
+
+
+def _settled(ev: Event) -> bool:
+    """True when processing ``ev`` would change nothing: every callback
+    is the check of a condition that has already triggered."""
+    for callback in ev.callbacks:
+        cond = getattr(callback, "__self__", None)
+        if not isinstance(cond, Condition) or cond._value is _PENDING:
+            return False
+    return True
 
 
 class Store:
