@@ -30,7 +30,7 @@ class Interrupt(Exception):
 class Process(Event):
     """An event-yielding coroutine scheduled on the simulator."""
 
-    __slots__ = ("_generator", "_target", "name", "domain")
+    __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, sim: "Simulator", generator: t.Generator,
                  name: str | None = None) -> None:
@@ -45,7 +45,6 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._generator = generator
-        self.domain = sim._domain
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off at the current instant, ahead of normal events, so a
         # newly spawned process observes the state that existed when it
@@ -97,21 +96,7 @@ class Process(Event):
         # (non-events surface as AttributeError on the error path).
         sim = self.sim
         generator = self._generator
-        if generator is None:
-            # Frozen by the shard runner: this domain's state is owned by
-            # another replica, so the coroutine must never advance here.
-            return
-        frozen = sim._frozen
-        if frozen is not None and self.domain is not None \
-                and self.domain in frozen:
-            # Foreign-domain process in a sharded replica: stay parked.
-            # Signal/store wake-ups may still target it (e.g. a replicated
-            # fault injector clearing a stall everywhere), but only the
-            # owning replica may advance the coroutine.
-            return
         sim._active_process = self
-        outer_domain = sim._domain
-        sim._domain = self.domain
         send = generator.send
         resume = self._resume
         while True:
@@ -152,4 +137,3 @@ class Process(Event):
             self._target = target
             break
         sim._active_process = None
-        sim._domain = outer_domain

@@ -2,6 +2,9 @@
 results, independent of object identities (``id()`` ordering) and
 process state.  Guards the reproducibility claim in EXPERIMENTS.md."""
 
+import hashlib
+import zlib
+
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, QosConfig, replace
@@ -224,3 +227,80 @@ class TestChaosDeterminism:
 
         assert make(11) == make(11)
         assert make(11) != make(12)
+
+
+class TestPinnedDigests:
+    """Results pinned across commits, not just across two runs.
+
+    The other classes here replay a scenario twice and compare, which
+    cannot notice a change that moves every run the same way.  These
+    digests were recorded once and must never change: a refactor of the
+    kernel, fabric or builders that alters any client's completion
+    count, error count, byte count or latency sum, or any namespace's
+    contents, fails here.  Each digest is SHA-256 over every client's
+    ``(completed, errors, bytes, lat_sum)`` and every controller's
+    ``(name, CRC32 of its namespace extents)``."""
+
+    #: link flap, lossy cable and a controller stall, none fatal
+    FAULTS = FaultPlan((
+        FaultEvent(200_000, "link_down", "link:host2",
+                   duration_ns=500_000),
+        FaultEvent(400_000, "tlp_drop", "link:host3", probability=0.1,
+                   duration_ns=800_000),
+        FaultEvent(900_000, "ctrl_stall", "ctrl:nvme0",
+                   duration_ns=300_000),
+    ))
+
+    @staticmethod
+    def _namespace_crc(controller):
+        crc = 0
+        for nsid in sorted(controller.namespaces):
+            extents = controller.namespaces[nsid]._extents
+            for index in sorted(extents):
+                crc = zlib.crc32(index.to_bytes(8, "little"), crc)
+                crc = zlib.crc32(bytes(extents[index]), crc)
+        return crc
+
+    def _digest(self, scn, controllers, total_ios, iodepth,
+                injector=None, **job_kwargs):
+        if injector is not None:
+            injector.start()
+        devices = scn.clients
+        procs = [scn.sim.process(fio_generator(dev, FioJob(
+            name=f"p{i}", rw="randrw", iodepth=iodepth,
+            total_ios=total_ios, seed_stream=f"fio{i}", **job_kwargs)))
+            for i, dev in enumerate(devices)]
+        scn.sim.run(until=scn.sim.all_of(procs))
+        h = hashlib.sha256()
+        for dev in devices:
+            assert dev.completed == total_ios
+            h.update(repr((dev.completed, dev.errors, dev.bytes_moved,
+                           int(dev.latencies.values().sum()))).encode())
+        for ctrl in controllers:
+            h.update(repr((ctrl.name,
+                           self._namespace_crc(ctrl))).encode())
+        return h.hexdigest()
+
+    def test_multihost_4_at_1000_ios_per_client(self):
+        scn = multihost(4, seed=404)
+        assert self._digest(scn, [scn.testbed.nvme], total_ios=1000,
+                            iodepth=8, region_lbas=1 << 20) == (
+            "ff62bb32b909a6af9db8986cd195be509cba7fae6c80259c67757c2706476aca")
+
+    def test_chaos_cluster_default_plan(self):
+        scn = chaos_cluster(seed=321)
+        assert self._digest(scn, [scn.testbed.nvme], total_ios=150,
+                            iodepth=4, injector=scn.injector) == (
+            "0e8f1ed1453f63d0bf38f2d4812b1c91cf68c42014ee354b47619ff22bf0ca9c")
+
+    def test_chaos_cluster_with_faults(self):
+        scn = chaos_cluster(n_clients=3, plan=self.FAULTS, seed=321)
+        assert self._digest(scn, [scn.testbed.nvme], total_ios=150,
+                            iodepth=4, injector=scn.injector) == (
+            "f7d2bc3376dc95d71c46bf43e9f4e8964109235e5b13ebea24274a59a71f820b")
+
+    def test_cluster_4_devices_width_2_replicas_2(self):
+        scn = cluster(n_devices=4, width=2, replicas=2, seed=99)
+        assert self._digest(scn, scn.controllers, total_ios=120,
+                            iodepth=4) == (
+            "68e138e76fe22ff35dfb70965ec69ceb0f18a5ad101b90b9f9a3bcf133506a8e")
